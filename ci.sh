@@ -20,18 +20,19 @@ cmake --build --preset "${SAN_PRESET}" -j "${JOBS}"
 ctest --preset "${SAN_PRESET}" -j "${JOBS}"
 
 if [ "${SAN_PRESET}" != "tsan" ]; then
-  # The lock-free metrics/flight-recorder paths, the threaded mediator
+  # The lock-free metrics and span-store paths, the threaded mediator
   # service loop, the integrity/fault-injection suites (checksum sidecars
-  # and read-repair run inside completion callbacks on reactor threads), and
-  # the sharded/batched UDP paths (per-shard arenas, lossy multi-shard e2e)
+  # and read-repair run inside completion callbacks on reactor threads), the
+  # sharded/batched UDP paths (per-shard arenas, lossy multi-shard e2e), and
+  # the lossy end-to-end test whose span accounting runs on reactor threads
   # are only meaningfully exercised under ThreadSanitizer; run just those
   # suites so the default gate stays fast. Full build: ctest needs every
   # discovered test's include file.
-  echo "== metrics/trace + mediator + integrity + buffer + shard + tail concurrency (tsan) =="
+  echo "== metrics/trace + mediator + integrity + buffer + shard + tail + lossy e2e concurrency (tsan) =="
   cmake --preset tsan
   cmake --build --preset tsan -j "${JOBS}"
   ctest --test-dir build-tsan \
-    -R '^MetricsTrace|^MediatorService|^IntegrityStore|^FaultyStore|^FaultInjection|^SelfHealing|^Scrub|^FaultKinds|^LossyCorrupt|^Buffer|^UdpBatch|^UdpShard|^Trace|^Congestion|^CcMode|^RttEstimator|^OwdBaseTracker|^DelayController|^DecorrelatedJitter|^TokenBucket|^JainFairness|^TimestampWire|^SessionGrantWire|^Chaos|^Hedge|^Deadline|^Overload|^Erasure' \
+    -R '^MetricsTrace|^MediatorService|^IntegrityStore|^FaultyStore|^FaultInjection|^SelfHealing|^Scrub|^FaultKinds|^LossyCorrupt|^Buffer|^UdpBatch|^UdpShard|^Trace|^Congestion|^CcMode|^RttEstimator|^OwdBaseTracker|^DelayController|^DecorrelatedJitter|^TokenBucket|^JainFairness|^TimestampWire|^SessionGrantWire|^Chaos|^Hedge|^Deadline|^Overload|^Erasure|^UdpEndToEndTest.SurvivesHeavyPacketLoss' \
     -j "${JOBS}" --output-on-failure
 fi
 

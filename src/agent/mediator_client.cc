@@ -62,7 +62,7 @@ Result<Message> MediatorClient::Call(Message request) {
     span.request_id = request.request_id;
     span.op = static_cast<uint8_t>(request.type);
     span.sampled = parent.sampled();
-    span.start_ns = FlightRecorder::NowNs();
+    span.start_ns = TraceNowNs();
     if (!had_parent) {
       span.label = MessageTypeName(request.type);
     }
@@ -78,10 +78,10 @@ Result<Message> MediatorClient::Call(Message request) {
   while (true) {
     if (traced) {
       if (first_send_ns == 0) {
-        first_send_ns = FlightRecorder::NowNs();
+        first_send_ns = TraceNowNs();
       } else {
         // A retransmission of the same request id — same trace, new event.
-        span.events.push_back({SpanStage::kRetransmit, FlightRecorder::NowNs(), 0,
+        span.events.push_back({SpanStage::kRetransmit, TraceNowNs(), 0,
                                static_cast<uint32_t>(timeouts_seen)});
       }
     }
@@ -104,7 +104,7 @@ Result<Message> MediatorClient::Call(Message request) {
         continue;  // corrupt or stale datagram: keep waiting
       }
       if (traced) {
-        span.end_ns = FlightRecorder::NowNs();
+        span.end_ns = TraceNowNs();
         span.events.push_back({SpanStage::kWire, first_send_ns, span.end_ns - first_send_ns, 0});
         span.status = reply->status_code;
         SpanStore::Global().Submit(std::move(span));
@@ -114,7 +114,7 @@ Result<Message> MediatorClient::Call(Message request) {
     ++timeouts_seen;
     if (policy_.Exhausted(timeouts_seen)) {
       if (traced) {
-        span.end_ns = FlightRecorder::NowNs();
+        span.end_ns = TraceNowNs();
         span.status = static_cast<uint32_t>(StatusCode::kUnavailable);
         SpanStore::Global().Submit(std::move(span));
       }

@@ -101,7 +101,7 @@ void UdpMediatorServer::ServiceLoop() {
 
     // A traced control RPC gets a mediator-side span: recv wait + service.
     const bool traced = message->trace.sampled() && GetTraceMode() != TraceMode::kOff;
-    const uint64_t proc_ns = traced ? FlightRecorder::NowNs() : 0;
+    const uint64_t proc_ns = traced ? TraceNowNs() : 0;
     auto record_span = [&] {
       if (!traced) {
         return;
@@ -119,7 +119,7 @@ void UdpMediatorServer::ServiceLoop() {
         span.events.push_back(
             {SpanStage::kRecvBatch, received->recv_ns, proc_ns - received->recv_ns, 0});
       }
-      span.end_ns = FlightRecorder::NowNs();
+      span.end_ns = TraceNowNs();
       span.events.push_back({SpanStage::kService, proc_ns, span.end_ns - proc_ns, 0});
       SpanStore::Global().Submit(std::move(span));
     };

@@ -4,7 +4,6 @@
 
 #include "src/proto/message.h"
 #include "src/util/metrics.h"
-#include "src/util/trace.h"
 
 namespace swift {
 
@@ -27,13 +26,6 @@ const CoreMetrics& Metrics() {
     };
   }();
   return metrics;
-}
-
-// In-proc ops have no UDP request id; give each a process-wide synthetic id
-// so flight-recorder dumps can still correlate start/fail/complete events.
-uint32_t NextInProcOpId() {
-  static std::atomic<uint32_t> next{1u << 31};  // high half: disjoint from UDP ids
-  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -173,41 +165,23 @@ Result<AgentOpenResult> InProcTransport::Open(const std::string& object_name, ui
 }
 
 Status InProcTransport::Write(uint32_t handle, uint64_t offset, std::span<const uint8_t> data) {
-  const uint32_t op_id = NextInProcOpId();
-  FlightRecorder::Global().Record(TraceEventKind::kOpStart, op_id);
   Status status = CheckUp();
   if (status.ok()) {
     status = core_->Write(handle, offset, data);
   }
   Account(status.ok(), 0, status.ok() ? data.size() : 0);
-  if (status.ok()) {
-    FlightRecorder::Global().Record(TraceEventKind::kOpComplete, op_id);
-  } else {
-    FlightRecorder::Global().Record(TraceEventKind::kOpFail, op_id,
-                                    static_cast<uint32_t>(status.code()));
-  }
   return status;
 }
 
 Result<BufferSlice> InProcTransport::Read(uint32_t handle, uint64_t offset,
                                           uint64_t length) {
-  const uint32_t op_id = NextInProcOpId();
-  FlightRecorder::Global().Record(TraceEventKind::kOpStart, op_id);
   Status up = CheckUp();
   if (!up.ok()) {
     Account(false, 0, 0);
-    FlightRecorder::Global().Record(TraceEventKind::kOpFail, op_id,
-                                    static_cast<uint32_t>(up.code()));
     return up;
   }
   auto result = core_->Read(handle, offset, length);
   Account(result.ok(), result.ok() ? length : 0, 0);
-  if (result.ok()) {
-    FlightRecorder::Global().Record(TraceEventKind::kOpComplete, op_id);
-  } else {
-    FlightRecorder::Global().Record(TraceEventKind::kOpFail, op_id,
-                                    static_cast<uint32_t>(result.status().code()));
-  }
   return result;
 }
 

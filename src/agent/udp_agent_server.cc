@@ -62,12 +62,12 @@ const ServerMetrics& Metrics() {
 // attempt off, so serving it is pure waste ahead of fresher work: the server
 // sheds it with kOverloaded, which the client treats as backpressure (jitter
 // retry, no congestion-window decrease). recv_ns is the kernel-drain stamp
-// on the FlightRecorder clock; 0 (untracked) never sheds.
+// on the TraceNowNs clock; 0 (untracked) never sheds.
 bool BudgetExpired(const Message& m, uint64_t recv_ns) {
   if (m.deadline_us == 0 || recv_ns == 0) {
     return false;
   }
-  const uint64_t now_ns = FlightRecorder::NowNs();
+  const uint64_t now_ns = TraceNowNs();
   return now_ns > recv_ns && (now_ns - recv_ns) / 1000 > m.deadline_us;
 }
 
@@ -78,8 +78,8 @@ double ElapsedUs(std::chrono::steady_clock::time_point since) {
 }
 
 // Starts a server-side span as the child of the context a request carried.
-// `shard_tag` is 1-based (0 = unsharded) so merged dumps attribute shard 0's
-// work distinguishably from untagged threads.
+// `shard_tag` is 1-based (0 = unsharded) so merged timelines attribute shard
+// 0's work distinguishably from an unsharded server.
 Span NewServerSpan(const Message& m, uint32_t shard_tag, uint64_t recv_ns) {
   Span span;
   span.trace_id = m.trace.trace_id;
@@ -90,7 +90,7 @@ Span NewServerSpan(const Message& m, uint32_t shard_tag, uint64_t recv_ns) {
   span.request_id = m.request_id;
   span.op = static_cast<uint8_t>(m.type);
   span.sampled = m.trace.sampled();
-  span.start_ns = recv_ns != 0 ? recv_ns : FlightRecorder::NowNs();
+  span.start_ns = recv_ns != 0 ? recv_ns : TraceNowNs();
   return span;
 }
 
@@ -103,7 +103,7 @@ void QueueReply(std::vector<OutgoingDatagram>& replies, const UdpEndpoint& to, M
                 uint64_t echo_ts_us) {
   if (echo_ts_us != 0) {
     message.echo_ts_us = echo_ts_us;
-    message.tx_ts_us = std::max<uint64_t>(1, FlightRecorder::NowNs() / 1000);
+    message.tx_ts_us = std::max<uint64_t>(1, TraceNowNs() / 1000);
   }
   Metrics().datagrams_out->Increment();
   if (message.type == MessageType::kWriteNack) {
@@ -224,7 +224,6 @@ std::vector<uint64_t> UdpAgentServer::shard_datagram_counts() const {
 }
 
 void UdpAgentServer::ShardLoop(Shard* shard) {
-  SetThreadTraceShard(shard->index + 1);  // 1-based: 0 means "unsharded"
   const size_t batch_limit = std::max<uint32_t>(1, options_.socket_batch);
   std::vector<UdpSocket::ReceivedDatagram> batch;
   std::vector<OutgoingDatagram> replies;
@@ -258,7 +257,7 @@ void UdpAgentServer::ShardLoop(Shard* shard) {
       // Well-known-port requests are single datagrams; a traced one gets a
       // self-contained span (recv-batch wait + handler time) right here.
       const bool traced = message->trace.sampled() && GetTraceMode() != TraceMode::kOff;
-      const uint64_t proc_ns = traced ? FlightRecorder::NowNs() : 0;
+      const uint64_t proc_ns = traced ? TraceNowNs() : 0;
       if (message->type == MessageType::kOpen) {
         HandleOpen(shard, *message, datagram.from, replies);
       } else if (message->type == MessageType::kStats) {
@@ -324,7 +323,7 @@ void UdpAgentServer::ShardLoop(Shard* shard) {
           span.events.push_back(
               {SpanStage::kRecvBatch, datagram.recv_ns, proc_ns - datagram.recv_ns, 0});
         }
-        span.end_ns = FlightRecorder::NowNs();
+        span.end_ns = TraceNowNs();
         span.events.push_back({SpanStage::kService, proc_ns, span.end_ns - proc_ns, 0});
         SpanStore::Global().Submit(std::move(span));
       }
@@ -338,6 +337,15 @@ void UdpAgentServer::ShardLoop(Shard* shard) {
 void UdpAgentServer::HandleOpen(Shard* shard, const Message& request,
                                 const UdpEndpoint& client,
                                 std::vector<OutgoingDatagram>& replies) {
+  for (const RecentOpen& recent : shard->recent_opens) {
+    if (recent.request_id == request.request_id && recent.client == client &&
+        recent.object_name == request.object_name &&
+        !recent.session->closed.load(std::memory_order_acquire)) {
+      QueueReply(replies, client, recent.reply, request.tx_ts_us);
+      return;
+    }
+  }
+
   Message reply;
   reply.type = MessageType::kOpenReply;
   reply.request_id = request.request_id;
@@ -372,20 +380,25 @@ void UdpAgentServer::HandleOpen(Shard* shard, const Message& request,
   reply.data_port = session->socket->local_port();
   reply.size = opened->size;
 
-  UdpSocket* socket = session->socket.get();
+  Session* raw = session.get();
   const uint32_t handle = opened->handle;
   const uint32_t shard_index = shard->index;
   session->thread = std::thread(
-      [this, socket, handle, shard_index] { SessionLoop(socket, handle, shard_index); });
+      [this, raw, handle, shard_index] { SessionLoop(raw, handle, shard_index); });
   {
     std::lock_guard<std::mutex> lock(shard->sessions_mutex);
     shard->sessions.push_back(std::move(session));
   }
+  constexpr size_t kRecentOpens = 64;
+  shard->recent_opens.push_back({client, request.request_id, request.object_name, raw, reply});
+  if (shard->recent_opens.size() > kRecentOpens) {
+    shard->recent_opens.pop_front();
+  }
   QueueReply(replies, client, reply, request.tx_ts_us);
 }
 
-void UdpAgentServer::SessionLoop(UdpSocket* socket, uint32_t handle, uint32_t shard_index) {
-  SetThreadTraceShard(shard_index + 1);  // session inherits its shard's tag
+void UdpAgentServer::SessionLoop(Session* session, uint32_t handle, uint32_t shard_index) {
+  UdpSocket* socket = session->socket.get();
   // In-progress write requests on this file, keyed by request id.
   struct PendingWrite {
     std::unique_ptr<Reassembler> reassembler;
@@ -447,10 +460,10 @@ void UdpAgentServer::SessionLoop(UdpSocket* socket, uint32_t handle, uint32_t sh
       return;
     }
     const auto service_start = std::chrono::steady_clock::now();
-    const uint64_t store_begin_ns = trace != nullptr ? FlightRecorder::NowNs() : 0;
+    const uint64_t store_begin_ns = trace != nullptr ? TraceNowNs() : 0;
     Status status = core_->Write(handle, pending.offset, pending.reassembler->data());
     if (trace != nullptr) {
-      trace->store_ns += FlightRecorder::NowNs() - store_begin_ns;
+      trace->store_ns += TraceNowNs() - store_begin_ns;
       if (trace->store_start_ns == 0) {
         trace->store_start_ns = store_begin_ns;
       }
@@ -513,7 +526,7 @@ void UdpAgentServer::SessionLoop(UdpSocket* socket, uint32_t handle, uint32_t sh
       uint64_t handler_begin_ns = 0;
       uint64_t store_before_ns = 0;
       if (m.trace.sampled() && GetTraceMode() != TraceMode::kOff) {
-        handler_begin_ns = FlightRecorder::NowNs();
+        handler_begin_ns = TraceNowNs();
         auto [slot, fresh] = traces.try_emplace(m.request_id);
         trace = &slot->second;
         if (fresh) {
@@ -535,10 +548,10 @@ void UdpAgentServer::SessionLoop(UdpSocket* socket, uint32_t handle, uint32_t sh
         case MessageType::kReadReq: {
           // One DATA packet per request, served immediately.
           const auto service_start = std::chrono::steady_clock::now();
-          const uint64_t store_begin_ns = trace != nullptr ? FlightRecorder::NowNs() : 0;
+          const uint64_t store_begin_ns = trace != nullptr ? TraceNowNs() : 0;
           auto data = core_->Read(handle, m.offset, m.read_length);
           if (trace != nullptr) {
-            trace->store_ns += FlightRecorder::NowNs() - store_begin_ns;
+            trace->store_ns += TraceNowNs() - store_begin_ns;
             if (trace->store_start_ns == 0) {
               trace->store_start_ns = store_begin_ns;
             }
@@ -654,7 +667,7 @@ void UdpAgentServer::SessionLoop(UdpSocket* socket, uint32_t handle, uint32_t sh
           break;
       }
       if (trace != nullptr) {
-        const uint64_t handler_end_ns = FlightRecorder::NowNs();
+        const uint64_t handler_end_ns = TraceNowNs();
         const uint64_t handler_ns = handler_end_ns - handler_begin_ns;
         const uint64_t store_ns = trace->store_ns - store_before_ns;
         trace->service_ns += handler_ns > store_ns ? handler_ns - store_ns : 0;
@@ -665,13 +678,13 @@ void UdpAgentServer::SessionLoop(UdpSocket* socket, uint32_t handle, uint32_t sh
       }
     }
     if (!replies.empty()) {
-      const uint64_t flush_begin_ns = touched.empty() ? 0 : FlightRecorder::NowNs();
+      const uint64_t flush_begin_ns = touched.empty() ? 0 : TraceNowNs();
       FlushReplies(*socket, replies, batch_limit);
       if (!touched.empty()) {
         // Charge the batch's reply flush to every traced request it served;
         // the intervals overlap, which the timeline's union-based attribution
         // handles (replies for concurrent requests really do share syscalls).
-        const uint64_t flush_end_ns = FlightRecorder::NowNs();
+        const uint64_t flush_end_ns = TraceNowNs();
         for (uint32_t request_id : touched) {
           auto it = traces.find(request_id);
           if (it == traces.end()) {
@@ -700,6 +713,7 @@ void UdpAgentServer::SessionLoop(UdpSocket* socket, uint32_t handle, uint32_t sh
     }
   }
   submit_all_traces();
+  session->closed.store(true, std::memory_order_release);
 }
 
 }  // namespace swift

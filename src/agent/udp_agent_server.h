@@ -34,9 +34,11 @@
 #define SWIFT_SRC_AGENT_UDP_AGENT_SERVER_H_
 
 #include <atomic>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -91,6 +93,18 @@ class UdpAgentServer {
   struct Session {
     std::unique_ptr<UdpSocket> socket;
     std::thread thread;
+    std::atomic<bool> closed{false};  // set by the session thread as it exits
+  };
+
+  // A served OPEN, kept so a retransmitted copy (its reply lost or merely
+  // slower than the client's RTO) gets the same reply instead of a second
+  // session that no client would ever close.
+  struct RecentOpen {
+    UdpEndpoint client;
+    uint32_t request_id = 0;
+    std::string object_name;
+    const Session* session = nullptr;
+    Message reply;
   };
 
   // One SO_REUSEPORT listener: socket + drain thread + private session list
@@ -103,10 +117,11 @@ class UdpAgentServer {
     Counter* registry_datagrams = nullptr;  // swift_agent_shard<i>_datagrams_total
     std::mutex sessions_mutex;
     std::vector<std::unique_ptr<Session>> sessions;
+    std::deque<RecentOpen> recent_opens;  // shard thread only, newest last
   };
 
   void ShardLoop(Shard* shard);
-  void SessionLoop(UdpSocket* socket, uint32_t handle, uint32_t shard_index);
+  void SessionLoop(Session* session, uint32_t handle, uint32_t shard_index);
   void HandleOpen(Shard* shard, const Message& request, const UdpEndpoint& client,
                   std::vector<OutgoingDatagram>& replies);
 

@@ -530,7 +530,7 @@ Result<size_t> UdpSocket::RecvGroTrain(int timeout_ms) {
   const bool kernel_truncated = (msg.msg_flags & MSG_TRUNC) != 0;
   const UdpEndpoint from = UdpEndpoint::FromSockaddr(addr);
   Metrics().recv_batch_size->Record(static_cast<double>(count));
-  const uint64_t recv_ns = FlightRecorder::NowNs();
+  const uint64_t recv_ns = TraceNowNs();
   for (size_t i = 0; i < count; ++i) {
     const size_t offset = i * stride;
     ReceivedDatagram d;
@@ -618,7 +618,7 @@ Result<UdpSocket::ReceivedDatagram> UdpSocket::RecvFromKernel(int timeout_ms) {
   // Keep successive datagrams' payloads 8-byte aligned within the block.
   recv_arena_used_ += Align8(static_cast<size_t>(n));
   out.from = UdpEndpoint::FromSockaddr(addr);
-  out.recv_ns = FlightRecorder::NowNs();
+  out.recv_ns = TraceNowNs();
   return out;
 }
 
@@ -714,7 +714,7 @@ Result<size_t> UdpSocket::RecvBatchKernel(int timeout_ms, size_t max_batch,
     }
     Metrics().recv_batch_size->Record(static_cast<double>(n));
     out.reserve(static_cast<size_t>(n));
-    const uint64_t recv_ns = FlightRecorder::NowNs();
+    const uint64_t recv_ns = TraceNowNs();
     for (int i = 0; i < n; ++i) {
       ReceivedDatagram d;
       d.data = recv_arena_.Slice(base + static_cast<size_t>(i) * kMaxDatagram, hdrs[i].msg_len);
@@ -761,7 +761,7 @@ bool UdpSocket::TakeDueHeld(ReceivedDatagram* out) {
       // The datagram "arrives" now: chaos models network delay, so the
       // kernel-exit stamp moves to the release instant (queueing before the
       // fault does not count against server-side budgets).
-      out->recv_ns = FlightRecorder::NowNs();
+      out->recv_ns = TraceNowNs();
       chaos_held_[i] = std::move(chaos_held_.back());
       chaos_held_.pop_back();
       return true;

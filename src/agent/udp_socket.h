@@ -111,10 +111,10 @@ class UdpSocket {
   struct ReceivedDatagram {
     BufferSlice data;  // keeps the arena block alive; alias freely
     UdpEndpoint from;
-    // When the datagram left the kernel (FlightRecorder::NowNs epoch) — the
-    // earliest user-space timestamp available, so server spans can charge
-    // recv-batch queueing (kernel → processing) honestly. One batch shares
-    // one stamp: its datagrams left the kernel in the same syscall.
+    // When the datagram left the kernel (TraceNowNs epoch) — the earliest
+    // user-space timestamp available, so server spans can charge recv-batch
+    // queueing (kernel → processing) honestly. One batch shares one stamp:
+    // its datagrams left the kernel in the same syscall.
     uint64_t recv_ns = 0;
     // The sender's datagram exceeded kMaxDatagram and the kernel cut it
     // (MSG_TRUNC): `data` holds only the leading bytes. Callers must treat

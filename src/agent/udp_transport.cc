@@ -72,16 +72,6 @@ const ClientMetrics& Metrics() {
   return metrics;
 }
 
-uint32_t SaturateU32(double value) {
-  if (value <= 0) {
-    return 0;
-  }
-  if (value >= static_cast<double>(UINT32_MAX)) {
-    return UINT32_MAX;
-  }
-  return static_cast<uint32_t>(value);
-}
-
 // Congestion-control metrics, shared by every transport in the process
 // (per-channel visibility comes from the _port_<agent> gauges resolved per
 // reactor; with several transports on one port the gauge is last-writer-wins,
@@ -120,10 +110,10 @@ const CcProcessMetrics& CcMetrics() {
   return metrics;
 }
 
-// Microseconds on the flight-recorder's steady epoch — the clock behind
+// Microseconds on the trace clock's steady epoch — the clock behind
 // every wire timestamp this process emits. Never 0, so a stamped field is
 // distinguishable from an absent one.
-uint64_t NowUs() { return std::max<uint64_t>(1, FlightRecorder::NowNs() / 1000); }
+uint64_t NowUs() { return std::max<uint64_t>(1, TraceNowNs() / 1000); }
 
 // Overwrites the 8 tx-timestamp bytes (big-endian, kTxTimestampHeaderOffset)
 // of an encoded header. Encode reserved them via the placeholder stamp; the
@@ -194,7 +184,6 @@ class UdpTransport::Reactor {
           session_(std::move(session)),
           request_id_(request_id),
           timeout_ms_(reactor_->InitialTimeoutMs()) {
-      FlightRecorder::Global().Record(TraceEventKind::kOpStart, request_id_);
       // Introspection ops (traced=false) are exempt from op deadlines:
       // observing the system should never be shed or deadline-failed.
       if (traced && reactor_->OpDeadlineMs() > 0) {
@@ -217,7 +206,7 @@ class UdpTransport::Reactor {
           span_.node = TraceNodeId();
           span_.request_id = request_id_;
           span_.sampled = parent.sampled();
-          span_.start_ns = FlightRecorder::NowNs();
+          span_.start_ns = TraceNowNs();
           trace_flags_ = parent.flags;
         }
       }
@@ -242,14 +231,14 @@ class UdpTransport::Reactor {
     void set_counted_in_window() { counted_in_window_ = true; }
 
     // Window gate entered (reactor picked the op up but cwnd was full).
-    void NoteGateEntered() { gate_enter_ns_ = FlightRecorder::NowNs(); }
+    void NoteGateEntered() { gate_enter_ns_ = TraceNowNs(); }
     // Window gate cleared: attribute the wait to the cc_gate stage and move
     // the send-flush baseline forward so stages stay non-overlapping.
     void NoteGateExit() {
       if (gate_enter_ns_ == 0) {
         return;
       }
-      const uint64_t now_ns = FlightRecorder::NowNs();
+      const uint64_t now_ns = TraceNowNs();
       if (span_.trace_id != 0 && now_ns > gate_enter_ns_) {
         span_.events.push_back(
             SpanEvent{SpanStage::kCcGate, gate_enter_ns_, now_ns - gate_enter_ns_, 0});
@@ -270,7 +259,7 @@ class UdpTransport::Reactor {
       if (span_.trace_id == 0) {
         return;
       }
-      pickup_ns_ = FlightRecorder::NowNs();
+      pickup_ns_ = TraceNowNs();
       span_.events.push_back(
           SpanEvent{SpanStage::kClientQueue, span_.start_ns, pickup_ns_ - span_.start_ns, 0});
     }
@@ -386,12 +375,10 @@ class UdpTransport::Reactor {
       retransmitted_ = true;  // Karn: this op's replies are now ambiguous
       transport()->retransmissions_.fetch_add(1, std::memory_order_relaxed);
       Metrics().retransmissions->Increment();
-      FlightRecorder::Global().Record(TraceEventKind::kOpRetry, request_id_,
-                                      static_cast<uint32_t>(timeouts_));
       // A retransmit is a child event of the op's span — the same trace id
       // rides the re-sent datagram; no new trace begins.
       if (span_.trace_id != 0) {
-        span_.events.push_back(SpanEvent{SpanStage::kRetransmit, FlightRecorder::NowNs(), 0,
+        span_.events.push_back(SpanEvent{SpanStage::kRetransmit, TraceNowNs(), 0,
                                          static_cast<uint32_t>(timeouts_)});
       }
       return Send(m);
@@ -408,12 +395,7 @@ class UdpTransport::Reactor {
     void Backoff() { timeout_ms_ = reactor_->NextTimeoutMs(timeout_ms_, data_bytes()); }
     // Counts one more consecutive timeout against the shared budget.
     bool BudgetExhausted() {
-      if (reactor_->policy_.Exhausted(++timeouts_)) {
-        FlightRecorder::Global().Record(TraceEventKind::kOpTimeout, request_id_,
-                                        static_cast<uint32_t>(timeouts_));
-        return true;
-      }
-      return false;
+      return reactor_->policy_.Exhausted(++timeouts_);
     }
     // Progress: forget consecutive timeouts; optionally restart the backoff
     // schedule too (reads do, writes keep the current timeout on a NACK).
@@ -440,24 +422,17 @@ class UdpTransport::Reactor {
       }
     }
 
-    // Registry + flight-recorder bookkeeping shared by every op's Finish:
-    // records the op latency and a completion (arg = latency µs) or failure
-    // (arg = status code) trace event, then closes and submits the op's span
-    // (the wire stage spans flush → completion, so from the client's side it
-    // covers the network plus everything the remote did).
-    void RecordDone(HistogramMetric* latency_us, bool ok, StatusCode code, MessageType op) {
+    // Bookkeeping shared by every op's Finish: records the op latency, then
+    // closes and submits the op's span (the wire stage spans flush →
+    // completion, so from the client's side it covers the network plus
+    // everything the remote did).
+    void RecordDone(HistogramMetric* latency_us, StatusCode code, MessageType op) {
       const double us = std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
                             Clock::now() - started_)
                             .count();
       latency_us->Record(us);
-      if (ok) {
-        FlightRecorder::Global().Record(TraceEventKind::kOpComplete, request_id_, SaturateU32(us));
-      } else {
-        FlightRecorder::Global().Record(TraceEventKind::kOpFail, request_id_,
-                                        static_cast<uint32_t>(code));
-      }
       if (span_.trace_id != 0) {
-        span_.end_ns = FlightRecorder::NowNs();
+        span_.end_ns = TraceNowNs();
         span_.op = static_cast<uint8_t>(op);
         span_.status = static_cast<uint32_t>(code);
         if (flush_ns_ != 0 && span_.end_ns > flush_ns_) {
@@ -559,7 +534,7 @@ class UdpTransport::Reactor {
    private:
     bool Finish(Result<Message> result) {
       transport()->AccountOpDone(result.ok());
-      RecordDone(Metrics().rpc_us, result.ok(), result.status().code(), request_.type);
+      RecordDone(Metrics().rpc_us, result.status().code(), request_.type);
       done_(std::move(result));
       return true;
     }
@@ -710,7 +685,7 @@ class UdpTransport::Reactor {
     // op's failure. Dispatches to whichever completion mode was armed.
     bool Finish(Status status) {
       transport()->AccountOpDone(status.ok());
-      RecordDone(Metrics().read_us, status.ok(), status.code(), MessageType::kReadReq);
+      RecordDone(Metrics().read_us, status.code(), MessageType::kReadReq);
       if (slice_done_) {
         if (status.ok()) {
           slice_done_(reassembler_.TakeSlice());
@@ -844,7 +819,7 @@ class UdpTransport::Reactor {
    private:
     bool Finish(Status status) {
       transport()->AccountOpDone(status.ok());
-      RecordDone(Metrics().write_us, status.ok(), status.code(), MessageType::kWriteData);
+      RecordDone(Metrics().write_us, status.code(), MessageType::kWriteData);
       done_(std::move(status));
       return true;
     }
@@ -931,7 +906,7 @@ class UdpTransport::Reactor {
    private:
     bool Finish(Result<std::vector<uint8_t>> result) {
       transport()->AccountOpDone(result.ok());
-      RecordDone(Metrics().rpc_us, result.ok(), result.status().code(), request_.type);
+      RecordDone(Metrics().rpc_us, result.status().code(), request_.type);
       done_(std::move(result));
       return true;
     }
@@ -1390,7 +1365,7 @@ class UdpTransport::Reactor {
       if (pending.paced && waited_us > 0) {
         if (auto it = active_.find(pending.request_id); it != active_.end()) {
           const uint64_t dur_ns = waited_us * 1000;
-          it->second->NotePaced(FlightRecorder::NowNs() - dur_ns, dur_ns,
+          it->second->NotePaced(TraceNowNs() - dur_ns, dur_ns,
                                 static_cast<uint32_t>(pending.dgram.head.size() +
                                                       pending.dgram.payload.size()));
         }
@@ -1578,7 +1553,7 @@ class UdpTransport::Reactor {
       if (!started_scratch_.empty()) {
         // The opening bursts just hit the kernel: close the send-flush stage
         // of every op started this round (its wire stage opens here).
-        const uint64_t flushed_ns = FlightRecorder::NowNs();
+        const uint64_t flushed_ns = TraceNowNs();
         for (PendingOp* op : started_scratch_) {
           op->NoteFlushed(flushed_ns);
         }

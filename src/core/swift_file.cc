@@ -114,7 +114,7 @@ class ParityTimer {
  public:
   ParityTimer() : active_(CurrentTraceContext().present()) {
     if (active_ && t_parity_depth++ == 0) {
-      begin_ns_ = FlightRecorder::NowNs();
+      begin_ns_ = TraceNowNs();
     }
   }
   ~ParityTimer() {
@@ -126,7 +126,7 @@ class ParityTimer {
       if (t_parity_first_ns == 0) {
         t_parity_first_ns = begin_ns_;
       }
-      t_parity_ns += FlightRecorder::NowNs() - begin_ns_;
+      t_parity_ns += TraceNowNs() - begin_ns_;
     }
   }
   ParityTimer(const ParityTimer&) = delete;
@@ -157,7 +157,7 @@ class RootSpanScope {
     span_.parent_span_id = 0;
     span_.node = TraceNodeId();
     span_.sampled = context.sampled();
-    span_.start_ns = FlightRecorder::NowNs();
+    span_.start_ns = TraceNowNs();
     span_.label = label;
     context.parent_span_id = span_.span_id;
     t_parity_ns = 0;
@@ -170,7 +170,7 @@ class RootSpanScope {
       return;
     }
     scope_.reset();  // restore the ambient context before submitting
-    span_.end_ns = FlightRecorder::NowNs();
+    span_.end_ns = TraceNowNs();
     if (t_parity_ns != 0) {
       span_.events.push_back({SpanStage::kParity, t_parity_first_ns, t_parity_ns, 0});
       t_parity_ns = 0;

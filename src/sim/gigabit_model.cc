@@ -9,7 +9,7 @@
 #include "src/event/simulator.h"
 #include "src/net/sim_host.h"
 #include "src/net/token_ring.h"
-#include "src/util/histogram.h"
+#include "src/util/metrics.h"
 #include "src/util/stats.h"
 
 namespace swift {
@@ -59,7 +59,7 @@ struct RunState {
 
   SimTime warmup = 0;
   RunningStats completion_ms;
-  LatencyHistogram completion_histogram;
+  HistogramMetric completion_histogram;
   uint64_t started = 0;
   uint64_t completed = 0;
   uint64_t bytes_delivered = 0;
@@ -205,7 +205,7 @@ SimProc HandleRequest(RunState& s, bool is_read, uint32_t client) {
   ++s.completed;
   if (start >= s.warmup) {
     s.completion_ms.Add(ToMillisecondsF(s.sim.now() - start));
-    s.completion_histogram.Add(ToMillisecondsF(s.sim.now() - start));
+    s.completion_histogram.Record(ToMillisecondsF(s.sim.now() - start));
     s.bytes_delivered += s.config.request_bytes;
   }
 }
@@ -248,9 +248,10 @@ GigabitRunResult GigabitModel::Run(double lambda, SimTime duration, SimTime warm
   result.requests_completed = state.completion_ms.count();
   result.mean_completion_ms = state.completion_ms.mean();
   result.stddev_completion_ms = state.completion_ms.stddev();
-  result.p50_completion_ms = state.completion_histogram.P50();
-  result.p95_completion_ms = state.completion_histogram.P95();
-  result.p99_completion_ms = state.completion_histogram.P99();
+  const HistogramMetric::Snapshot completion = state.completion_histogram.Snap();
+  result.p50_completion_ms = completion.P50();
+  result.p95_completion_ms = completion.Quantile(0.95);
+  result.p99_completion_ms = completion.P99();
   double disk_util = 0;
   for (const auto& disk : state.disks) {
     disk_util += disk->Utilization();

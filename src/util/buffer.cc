@@ -1,6 +1,9 @@
 #include "src/util/buffer.h"
 
+#include <sanitizer/asan_interface.h>
+
 #include <cstring>
+#include <mutex>
 
 #include "src/util/logging.h"
 #include "src/util/metrics.h"
@@ -16,9 +19,99 @@ void CountBufferCopy(size_t bytes) {
   m.copy_bytes->Increment(bytes);
 }
 
+namespace {
+
+// Recycles payload blocks of kMinPooledBlock bytes and up (socket receive
+// arenas, reassembly targets, store reads). Those blocks are allocated on one
+// thread and released on whichever thread drops the last slice; through
+// malloc, every release lands in the allocating thread's arena, and how much
+// freed memory each arena keeps resident depends on thread timing, so the
+// process's footprint drifted with scheduling. Recycled blocks are handed
+// out again instead: the footprint follows the peak number of live blocks.
+// At most kMaxPooledBytes of idle blocks are kept, spread over at most
+// kMaxSizes distinct sizes; anything past that goes back to malloc.
+class BlockPool {
+ public:
+  static constexpr size_t kMinPooledBlock = 64 * 1024;
+
+  static BlockPool& Global() {
+    static BlockPool* pool = new BlockPool();  // never destroyed: deleters outlive statics
+    return *pool;
+  }
+
+  uint8_t* Take(size_t size) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      for (SizeClass& c : sizes_) {
+        if (c.size == size && !c.idle.empty()) {
+          uint8_t* block = c.idle.back();
+          c.idle.pop_back();
+          idle_bytes_ -= size;
+          ASAN_UNPOISON_MEMORY_REGION(block, size);
+          return block;
+        }
+      }
+    }
+    return new uint8_t[size];
+  }
+
+  void Give(uint8_t* block, size_t size) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (idle_bytes_ + size <= kMaxPooledBytes) {
+        // This size's class; failing that, a class with no idle blocks
+        // changes size, or a new class is opened.
+        SizeClass* slot = nullptr;
+        for (SizeClass& c : sizes_) {
+          if (c.size == size) {
+            slot = &c;
+            break;
+          }
+          if (slot == nullptr && c.idle.empty()) {
+            slot = &c;
+          }
+        }
+        if (slot == nullptr && sizes_.size() < kMaxSizes) {
+          slot = &sizes_.emplace_back();
+        }
+        if (slot != nullptr) {
+          ASAN_POISON_MEMORY_REGION(block, size);  // a stale slice read is still caught
+          slot->size = size;
+          slot->idle.push_back(block);
+          idle_bytes_ += size;
+          return;
+        }
+      }
+    }
+    delete[] block;
+  }
+
+ private:
+  static constexpr size_t kMaxPooledBytes = 32 * 1024 * 1024;
+  static constexpr size_t kMaxSizes = 8;
+
+  struct SizeClass {
+    size_t size = 0;
+    std::vector<uint8_t*> idle;
+  };
+
+  std::mutex mutex_;
+  std::vector<SizeClass> sizes_;
+  size_t idle_bytes_ = 0;
+};
+
+}  // namespace
+
 Buffer Buffer::Allocate(size_t size) {
   Buffer b;
-  b.data_ = std::shared_ptr<uint8_t[]>(new uint8_t[size]);
+  if (size >= BlockPool::kMinPooledBlock) {
+    b.data_ = std::shared_ptr<uint8_t[]>(BlockPool::Global().Take(size),
+                                         [size](uint8_t* block) {
+                                           BlockPool::Global().Give(block, size);
+                                         });
+  } else {
+    b.data_ = std::shared_ptr<uint8_t[]>(new uint8_t[size]);
+  }
   b.size_ = size;
   return b;
 }

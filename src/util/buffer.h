@@ -52,6 +52,9 @@ class Buffer {
   Buffer() = default;
 
   // Uninitialized block. The producer must fill every byte it later shares.
+  // Blocks of 64 KiB and up are recycled: when the last owner or slice
+  // drops, the block returns to a process-wide pool (at most 32 MiB idle)
+  // and a later Allocate of the same size hands it out again.
   static Buffer Allocate(size_t size);
   // Zero-filled block (for reassembly targets and zero-extended reads).
   static Buffer AllocateZeroed(size_t size);

@@ -10,8 +10,7 @@ namespace swift {
 
 namespace {
 
-// Same geometry as util/histogram.cc so registry quantiles agree with the
-// bench-side LatencyHistogram.
+// Upper bound of bucket i is kFirstBound * kGrowth^i (geometry: metrics.h).
 constexpr double kFirstBound = 1.0;
 constexpr double kGrowth = 1.07;
 
@@ -120,7 +119,9 @@ double HistogramMetric::Snapshot::Quantile(double q) const {
   for (size_t b = 0; b < kBuckets; ++b) {
     seen += buckets[b];
     if (seen >= rank) {
-      return std::min(BucketUpperBound(b), max > 0 ? max : BucketUpperBound(b));
+      // Clamp to the tracked max: the bucket's upper edge can exceed every
+      // sample (all-zero samples sit in bucket 0, whose edge is 1).
+      return std::min(BucketUpperBound(b), max);
     }
   }
   return max;

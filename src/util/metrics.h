@@ -59,10 +59,11 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
-// Fixed-bucket geometric histogram with atomic buckets: Record() is lock-free
-// and allocation-free; Snap() copies the buckets into a plain struct for
-// quantile queries. Bucket layout matches util/histogram.h (first bound 1.0,
-// 7% growth, 512 buckets) so registry quantiles agree with bench histograms.
+// The process's one histogram type: fixed geometric buckets (first bound
+// 1.0, 7% growth, 512 buckets) with atomic counters. Record() is lock-free
+// and allocation-free, so live metrics, bench harnesses and the virtual-time
+// simulator all record here; Snap() copies the buckets into a plain struct
+// for quantile queries.
 class HistogramMetric {
  public:
   static constexpr size_t kBuckets = 512;
@@ -77,7 +78,8 @@ class HistogramMetric {
     std::array<uint64_t, kBuckets> buckets{};
 
     double Mean() const { return count == 0 ? 0.0 : sum / static_cast<double>(count); }
-    // Upper bound of the bucket holding the q-quantile sample (0 < q <= 1).
+    // Upper bound of the bucket holding the q-quantile sample, clamped to
+    // `max`; exact min/max at q = 0/1.
     double Quantile(double q) const;
     double P50() const { return Quantile(0.50); }
     double P90() const { return Quantile(0.90); }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <random>
 
 #include "src/util/metrics.h"
@@ -22,10 +20,7 @@ uint64_t TraceEpochNs() {
   return epoch;
 }
 
-constexpr uint64_t kTimestampMask = (uint64_t{1} << 56) - 1;
-
 std::atomic<uint32_t> g_trace_node{0};
-thread_local uint32_t t_trace_shard = 0;
 thread_local TraceContext t_trace_context;
 std::atomic<uint8_t> g_trace_mode{static_cast<uint8_t>(TraceMode::kSampled)};
 
@@ -47,84 +42,7 @@ uint64_t ProcessTraceSeed() {
 
 }  // namespace
 
-const char* TraceEventKindName(TraceEventKind kind) {
-  switch (kind) {
-    case TraceEventKind::kOpStart:
-      return "OP_START";
-    case TraceEventKind::kOpRetry:
-      return "OP_RETRY";
-    case TraceEventKind::kOpTimeout:
-      return "OP_TIMEOUT";
-    case TraceEventKind::kOpComplete:
-      return "OP_COMPLETE";
-    case TraceEventKind::kOpFail:
-      return "OP_FAIL";
-  }
-  return "OP_UNKNOWN";
-}
-
-// Single-writer ring. Each slot is published seqlock-style: the owner stores
-// seq=0 (invalid), the payload words, then seq=index+1 with release ordering;
-// readers load seq (acquire), the payload, then re-check seq and drop the
-// slot if it changed underneath them. All slot fields are atomics, so
-// concurrent read/overwrite is a data-race-free torn-read drop, not UB.
-class FlightRecorder::Ring {
- public:
-  void Push(TraceEventKind kind, uint32_t request_id, uint32_t arg, uint32_t node,
-            uint32_t shard) {
-    const uint64_t index = next_++;  // owner thread only
-    Slot& slot = slots_[index & (kRingCapacity - 1)];
-    slot.seq.store(0, std::memory_order_release);
-    const uint64_t now = FlightRecorder::NowNs();
-    slot.time_kind.store((static_cast<uint64_t>(kind) << 56) | (now & kTimestampMask),
-                         std::memory_order_relaxed);
-    slot.ids.store((static_cast<uint64_t>(request_id) << 32) | arg,
-                   std::memory_order_relaxed);
-    slot.tag.store((static_cast<uint64_t>(node) << 32) | shard,
-                   std::memory_order_relaxed);
-    slot.seq.store(index + 1, std::memory_order_release);
-  }
-
-  void Collect(std::vector<TraceEvent>& out) const {
-    for (const Slot& slot : slots_) {
-      const uint64_t seq = slot.seq.load(std::memory_order_acquire);
-      if (seq == 0) {
-        continue;  // never written, or mid-write
-      }
-      const uint64_t time_kind = slot.time_kind.load(std::memory_order_acquire);
-      const uint64_t ids = slot.ids.load(std::memory_order_acquire);
-      const uint64_t tag = slot.tag.load(std::memory_order_acquire);
-      if (slot.seq.load(std::memory_order_acquire) != seq) {
-        continue;  // overwritten while we were reading
-      }
-      TraceEvent event;
-      event.timestamp_ns = time_kind & kTimestampMask;
-      event.kind = static_cast<TraceEventKind>(time_kind >> 56);
-      event.request_id = static_cast<uint32_t>(ids >> 32);
-      event.arg = static_cast<uint32_t>(ids);
-      event.node = static_cast<uint32_t>(tag >> 32);
-      event.shard = static_cast<uint32_t>(tag);
-      out.push_back(event);
-    }
-  }
-
- private:
-  struct Slot {
-    std::atomic<uint64_t> seq{0};
-    std::atomic<uint64_t> time_kind{0};
-    std::atomic<uint64_t> ids{0};
-    std::atomic<uint64_t> tag{0};  // node << 32 | shard
-  };
-  Slot slots_[kRingCapacity];
-  uint64_t next_ = 0;
-};
-
-FlightRecorder& FlightRecorder::Global() {
-  static FlightRecorder* recorder = new FlightRecorder();  // never destroyed
-  return *recorder;
-}
-
-uint64_t FlightRecorder::NowNs() {
+uint64_t TraceNowNs() {
   // Fix the epoch before sampling the clock: on the very first call the
   // epoch initializes to a reading taken after `now` would be, and the
   // unsigned subtraction would wrap.
@@ -136,68 +54,11 @@ uint64_t FlightRecorder::NowNs() {
   return now - epoch;
 }
 
-FlightRecorder::Ring* FlightRecorder::RingForThisThread() {
-  // The shared_ptr in rings_ keeps the ring alive past thread exit, so a
-  // dump after a worker finished still sees its events.
-  thread_local Ring* ring = [this] {
-    auto owned = std::make_shared<Ring>();
-    Ring* raw = owned.get();
-    std::lock_guard<std::mutex> lock(mutex_);
-    rings_.push_back(std::move(owned));
-    return raw;
-  }();
-  return ring;
-}
-
-void FlightRecorder::Record(TraceEventKind kind, uint32_t request_id, uint32_t arg) {
-  RingForThisThread()->Push(kind, request_id, arg, TraceNodeId(), ThreadTraceShard());
-}
-
-std::vector<TraceEvent> FlightRecorder::Snapshot() const {
-  std::vector<std::shared_ptr<Ring>> rings;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    rings = rings_;
-  }
-  std::vector<TraceEvent> events;
-  for (const auto& ring : rings) {
-    ring->Collect(events);
-  }
-  std::sort(events.begin(), events.end(), [](const TraceEvent& a, const TraceEvent& b) {
-    return a.timestamp_ns < b.timestamp_ns;
-  });
-  return events;
-}
-
-std::string FlightRecorder::Dump() const {
-  const std::vector<TraceEvent> events = Snapshot();
-  std::string out = "flight-recorder: " + std::to_string(events.size()) + " events\n";
-  char line[160];
-  for (const TraceEvent& event : events) {
-    int n = std::snprintf(line, sizeof(line), "  +%.6fs %s req=%" PRIu32 " arg=%" PRIu32,
-                          static_cast<double>(event.timestamp_ns) / 1e9,
-                          TraceEventKindName(event.kind), event.request_id, event.arg);
-    if (event.node != 0 && n > 0 && static_cast<size_t>(n) < sizeof(line)) {
-      n += std::snprintf(line + n, sizeof(line) - n, " node=%" PRIu32, event.node);
-    }
-    if (event.shard != 0 && n > 0 && static_cast<size_t>(n) < sizeof(line)) {
-      n += std::snprintf(line + n, sizeof(line) - n, " shard=%" PRIu32, event.shard);
-    }
-    out += line;
-    out += '\n';
-  }
-  return out;
-}
-
 // --- trace identity -------------------------------------------------------
 
 void SetTraceNodeId(uint32_t node) { g_trace_node.store(node, std::memory_order_relaxed); }
 
 uint32_t TraceNodeId() { return g_trace_node.load(std::memory_order_relaxed); }
-
-void SetThreadTraceShard(uint32_t shard) { t_trace_shard = shard; }
-
-uint32_t ThreadTraceShard() { return t_trace_shard; }
 
 // --- trace context --------------------------------------------------------
 

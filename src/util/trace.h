@@ -1,22 +1,5 @@
-// Tracing: the per-thread flight recorder (PR 2) plus the distributed span
-// layer built on top of it.
-//
-// Flight recorder: per-thread lock-free ring buffers of trace events, merged
-// chronologically on read. Each event is (steady timestamp, kind, request id,
-// small argument) — keyed by the UDP transport's request id so a dump after a
-// fault reconstructs which ops started, retried, timed out, completed, or
-// failed, in order, across every thread. Events additionally carry the
-// process's trace node id and the recording thread's shard tag, so a merged
-// dump from a 4-shard agent attributes each event even when two shards reuse
-// the same request id.
-//
-// Recording is wait-free for the owning thread: a thread writes only its own
-// ring, publishing each slot with a seqlock-style sequence word. Readers
-// (Snapshot/Dump) take the registration mutex to walk the rings but read the
-// slots lock-free, dropping any slot the owner overwrote mid-read. Rings are
-// bounded (kRingCapacity events per thread); old events are overwritten.
-//
-// Span layer: a request that fans out across shards and nodes is stitched
+// Tracing: the distributed span layer, the process's one event path. A
+// request that fans out across shards and nodes is stitched
 // together by a TraceContext — (trace_id, parent_span_id, sampled) — carried
 // in the protocol header. Each hop records a Span (bounded per-stage timeline
 // namespaced by node/shard/request id) into the process-wide SpanStore, whose
@@ -31,7 +14,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -41,71 +23,17 @@
 
 namespace swift {
 
-enum class TraceEventKind : uint8_t {
-  kOpStart = 1,    // op submitted; arg = op tag (transport-specific)
-  kOpRetry = 2,    // a datagram for the op was retransmitted; arg = timeout round
-  kOpTimeout = 3,  // retry budget exhausted; arg = timeout rounds used
-  kOpComplete = 4, // op finished OK; arg = latency in microseconds (saturated)
-  kOpFail = 5,     // op finished with an error; arg = status code
-};
-
-const char* TraceEventKindName(TraceEventKind kind);
-
-struct TraceEvent {
-  uint64_t timestamp_ns = 0;  // steady ns since process trace epoch
-  uint32_t request_id = 0;
-  uint32_t arg = 0;
-  uint32_t node = 0;   // recording process's trace node id (0 = client)
-  uint32_t shard = 0;  // recording thread's shard tag (0 = unsharded)
-  TraceEventKind kind = TraceEventKind::kOpStart;
-};
-
-class FlightRecorder {
- public:
-  static constexpr size_t kRingCapacity = 4096;  // per thread, power of two
-
-  static FlightRecorder& Global();
-
-  // Wait-free on the calling thread (after its first call, which registers
-  // the thread's ring). Events are stamped with TraceNodeId() and the
-  // calling thread's shard tag (SetThreadTraceShard).
-  void Record(TraceEventKind kind, uint32_t request_id, uint32_t arg = 0);
-
-  // All currently-readable events across every thread, merged in timestamp
-  // order. Weakly consistent while writers are active.
-  std::vector<TraceEvent> Snapshot() const;
-
-  // Human-readable chronological dump, one event per line:
-  //   "  +0.001234s OP_RETRY req=17 arg=2"
-  // with " node=N"/" shard=S" appended when nonzero.
-  std::string Dump() const;
-
-  // Steady time on the same epoch as TraceEvent::timestamp_ns, so callers
-  // can take a cut point and filter Snapshot() to events after it.
-  static uint64_t NowNs();
-
- private:
-  class Ring;
-
-  FlightRecorder() = default;
-  Ring* RingForThisThread();
-
-  mutable std::mutex mutex_;
-  std::vector<std::shared_ptr<Ring>> rings_;
-};
+// Steady nanoseconds since the process trace epoch: the clock behind every
+// span timestamp and wire timestamp this process records.
+uint64_t TraceNowNs();
 
 // --- trace identity -------------------------------------------------------
 
-// Process-wide trace node id, stamped into every span and flight-recorder
-// event this process records. Daemons set it to their well-known port at
-// startup; the default 0 denotes "client process".
+// Process-wide trace node id, stamped into every span this process records.
+// Daemons set it to their well-known port at startup; the default 0 denotes
+// "client process".
 void SetTraceNodeId(uint32_t node);
 uint32_t TraceNodeId();
-
-// Per-thread shard tag for flight-recorder events (and server spans). Shard
-// and session threads of a sharded agent set it once at thread start.
-void SetThreadTraceShard(uint32_t shard);
-uint32_t ThreadTraceShard();
 
 // --- trace context --------------------------------------------------------
 

@@ -1,6 +1,7 @@
 // Shared-ownership buffer pipeline: slice lifetime (a view must keep its
 // block alive after every other owner is gone), the mutate-only-while-unique
-// rule, the shared zero page, copy accounting, and concurrent shared reads.
+// rule, the shared zero page, copy accounting, concurrent shared reads, and
+// the recycling of large blocks.
 // ci.sh runs this suite under both the tsan and asan-ubsan presets.
 
 #include <gtest/gtest.h>
@@ -170,6 +171,42 @@ TEST(BufferTest, CopyOnWriteLeavesExistingReadersUntouched) {
 
   EXPECT_EQ(reader, original);  // untouched
   EXPECT_EQ(writable.span()[0], 0u);
+}
+
+// A large block goes back to the pool only when its last slice drops: while
+// a slice pins it, a new allocation of the same size gets a different block
+// and the pinned bytes stay intact; once released, the block is reused.
+TEST(BufferTest, LargeBlockIsRecycledOnlyAfterItsLastSliceDrops) {
+  constexpr size_t kLarge = 256 * 1024;
+  const std::vector<uint8_t> expected = Pattern(kLarge, 23);
+  BufferSlice pin;
+  const uint8_t* first = nullptr;
+  {
+    Buffer b = Buffer::Allocate(kLarge);
+    std::memcpy(b.data(), expected.data(), kLarge);
+    first = b.data();
+    pin = b.SliceAll();
+  }
+  Buffer other = Buffer::Allocate(kLarge);
+  EXPECT_NE(other.data(), first);
+  std::memset(other.data(), 0xEE, kLarge);
+  EXPECT_EQ(pin, expected);
+
+  pin = BufferSlice();
+  Buffer reused = Buffer::Allocate(kLarge);
+  EXPECT_EQ(reused.data(), first);
+  EXPECT_TRUE(reused.unique());
+}
+
+// A recycled block comes back zeroed from AllocateZeroed, whatever it held.
+TEST(BufferTest, RecycledBlockIsZeroedWhenAskedFor) {
+  constexpr size_t kLarge = 64 * 1024;
+  {
+    Buffer dirty = Buffer::Allocate(kLarge);
+    std::memset(dirty.data(), 0x5A, kLarge);
+  }
+  Buffer zeroed = Buffer::AllocateZeroed(kLarge);
+  EXPECT_EQ(zeroed.SliceAll(), std::vector<uint8_t>(kLarge, 0));
 }
 
 }  // namespace

@@ -13,12 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <set>
 
 #include "src/agent/local_cluster.h"
 #include "src/core/swift_file.h"
 #include "src/util/rng.h"
-#include "src/util/trace.h"
 
 namespace swift {
 namespace {
@@ -36,7 +34,6 @@ class FaultInjectionTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FaultInjectionTest, SuccessfulOpsAreDurableUnderTransientFaults) {
   Rng rng(GetParam());
-  const uint64_t trace_cut = FlightRecorder::NowNs();
   constexpr uint32_t kAgents = 4;
   LocalSwiftCluster cluster({.num_agents = kAgents});
   auto file = cluster.CreateFile({.object_name = "obj",
@@ -84,6 +81,17 @@ TEST_P(FaultInjectionTest, SuccessfulOpsAreDurableUnderTransientFaults) {
   }
   EXPECT_GT(faults_injected, 5) << "sweep did not exercise the fault paths";
 
+  // The injected kUnavailable faults surface as failed ops on the victim's
+  // transport, and only there (read before the crash below adds its own).
+  for (uint32_t agent = 0; agent < kAgents; ++agent) {
+    const TransportStats stats = cluster.transport(agent)->stats();
+    if (agent == victim_agent) {
+      EXPECT_GT(stats.ops_failed, 0u) << "injected faults left no failed transport ops";
+    } else {
+      EXPECT_EQ(stats.ops_failed, 0u) << "agent " << agent << " failed without a fault";
+    }
+  }
+
   // Final state must survive the permanent loss of the (possibly stale)
   // victim column via a fresh session.
   cluster.transport(victim_agent)->set_crashed(true);
@@ -92,30 +100,6 @@ TEST_P(FaultInjectionTest, SuccessfulOpsAreDurableUnderTransientFaults) {
   std::vector<uint8_t> read_back(reference.size());
   ASSERT_TRUE((*survivor)->PRead(0, read_back).ok());
   EXPECT_EQ(read_back, reference);
-
-  // The flight recorder must have caught the injected faults: every failed
-  // transport op since the cut point carries the kUnavailable status code and
-  // a matching OP_START for the same op id.
-  std::set<uint32_t> started;
-  std::set<uint32_t> failed_unavailable;
-  for (const TraceEvent& event : FlightRecorder::Global().Snapshot()) {
-    if (event.timestamp_ns < trace_cut) {
-      continue;
-    }
-    if (event.kind == TraceEventKind::kOpStart) {
-      started.insert(event.request_id);
-    } else if (event.kind == TraceEventKind::kOpFail &&
-               event.arg == static_cast<uint32_t>(StatusCode::kUnavailable)) {
-      failed_unavailable.insert(event.request_id);
-    }
-  }
-  EXPECT_FALSE(failed_unavailable.empty())
-      << "injected kUnavailable faults left no OP_FAIL trace events";
-  for (uint32_t id : failed_unavailable) {
-    EXPECT_TRUE(started.count(id)) << "OP_FAIL for op " << id << " has no OP_START";
-  }
-  const std::string dump = FlightRecorder::Global().Dump();
-  EXPECT_NE(dump.find("OP_FAIL"), std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FaultInjectionTest,

@@ -287,30 +287,6 @@ TEST(TraceSpanStoreTest, ConcurrentSubmitAndSnapshotAreClean) {
   SpanStore::Global().Reset();
 }
 
-// --- flight recorder tags -------------------------------------------------
-
-TEST(TraceFlightRecorderTest, DumpCarriesNodeAndShardTags) {
-  SetTraceNodeId(4951);
-  SetThreadTraceShard(3);
-  FlightRecorder::Global().Record(TraceEventKind::kOpStart, 777);
-  SetThreadTraceShard(0);
-  SetTraceNodeId(0);
-
-  const std::string dump = FlightRecorder::Global().Dump();
-  bool found = false;
-  for (size_t at = dump.find("req=777"); at != std::string::npos;
-       at = dump.find("req=777", at + 1)) {
-    const size_t eol = dump.find('\n', at);
-    const std::string line = dump.substr(at, eol - at);
-    if (line.find("node=4951") != std::string::npos &&
-        line.find("shard=3") != std::string::npos) {
-      found = true;
-      break;
-    }
-  }
-  EXPECT_TRUE(found) << "no line tagged node=4951 shard=3 in:\n" << dump;
-}
-
 // --- remote collection and full STATS -------------------------------------
 
 struct AgentUnderTest {

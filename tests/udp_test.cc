@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "src/agent/backing_store.h"
@@ -16,6 +15,7 @@
 #include "src/agent/udp_transport.h"
 #include "src/core/object_directory.h"
 #include "src/core/swift_file.h"
+#include "src/proto/message.h"
 #include "src/util/rng.h"
 #include "src/util/trace.h"
 #include "src/util/units.h"
@@ -70,6 +70,35 @@ TEST(UdpEndToEndTest, OpenWriteReadClose) {
   EXPECT_EQ(agent.core.open_handle_count(), 0u);
 }
 
+TEST(UdpEndToEndTest, RetransmittedOpenGetsTheSameSession) {
+  // A client whose OPEN reply is lost, or merely slower than its RTO, resends
+  // the same request from the same socket: the agent must answer with the
+  // session it already made, not start a second one nobody will close.
+  AgentUnderTest agent;
+  UdpSocket client;
+  ASSERT_TRUE(client.BindLoopback(0).ok());
+  Message open;
+  open.type = MessageType::kOpen;
+  open.request_id = 7;
+  open.object_name = "dup";
+  open.open_flags = kOpenCreate;
+  const std::vector<uint8_t> request = open.Encode();
+  std::vector<Message> replies;
+  for (int copy = 0; copy < 2; ++copy) {
+    ASSERT_TRUE(client.SendTo(UdpEndpoint::Loopback(agent.server.port()), request).ok());
+    auto received = client.RecvFrom(2000);
+    ASSERT_TRUE(received.ok()) << received.status().ToString();
+    auto reply = Message::Decode(received->data);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    replies.push_back(*reply);
+  }
+  EXPECT_EQ(replies[0].status_code, 0u);
+  EXPECT_EQ(replies[1].handle, replies[0].handle);
+  EXPECT_EQ(replies[1].data_port, replies[0].data_port);
+  EXPECT_EQ(agent.server.active_session_count(), 1u);
+  EXPECT_EQ(agent.core.open_handle_count(), 1u);
+}
+
 TEST(UdpEndToEndTest, OpenSemanticsOverTheWire) {
   AgentUnderTest agent;
   UdpTransport transport(agent.server.port(), UdpTransport::Options{});
@@ -119,13 +148,21 @@ TEST(UdpEndToEndTest, MultipleTransportsOneAgent) {
 TEST(UdpEndToEndTest, SurvivesHeavyPacketLoss) {
   // 20% loss in both directions; the retransmission machinery must converge
   // to byte-exact transfers ("can resubmit requests when packets are lost").
-  const uint64_t trace_cut = FlightRecorder::NowNs();
+  // Every op is traced so its span can account for its retransmissions.
+  struct TraceModeGuard {
+    TraceMode saved = GetTraceMode();
+    ~TraceModeGuard() { SetTraceMode(saved); }
+  } mode_guard;
+  SetTraceMode(TraceMode::kAll);
+  SpanStore::Global().Reset();
+
   AgentUnderTest agent(UdpAgentServer::Options{.port = 0, .loss_probability = 0.2, .loss_seed = 7});
   UdpTransport::Options options;
   options.loss_probability = 0.2;
   options.loss_seed = 13;
   options.max_retries = 12;
   UdpTransport transport(agent.server.port(), options);
+  const uint64_t retransmissions_before = transport.retransmissions();
 
   auto opened = transport.Open("lossy", kOpenCreate);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -134,37 +171,27 @@ TEST(UdpEndToEndTest, SurvivesHeavyPacketLoss) {
   auto read = transport.Read(opened->handle, 0, data.size());
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(*read, data);
-  EXPECT_GT(transport.retransmissions(), 0u);
+  const uint64_t retransmissions = transport.retransmissions() - retransmissions_before;
+  EXPECT_GT(retransmissions, 0u);
 
-  // The flight recorder must account for every retransmission: each retried
-  // request id has an OP_START and reached a terminal event (complete, or a
-  // timeout/fail for ops that exhausted their budget).
-  std::set<uint32_t> started;
-  std::set<uint32_t> retried;
-  std::set<uint32_t> terminal;
-  for (const TraceEvent& event : FlightRecorder::Global().Snapshot()) {
-    if (event.timestamp_ns < trace_cut) {
+  // The client's op spans (roots: each op started its own trace; the agent's
+  // spans are their children) must account for every retransmission, and
+  // every op must have closed its span.
+  size_t op_spans = 0;
+  uint64_t retransmit_events = 0;
+  for (const Span& span : SpanStore::Global().Snapshot()) {
+    if (span.parent_span_id != 0) {
       continue;
     }
-    switch (event.kind) {
-      case TraceEventKind::kOpStart:
-        started.insert(event.request_id);
-        break;
-      case TraceEventKind::kOpRetry:
-        retried.insert(event.request_id);
-        break;
-      case TraceEventKind::kOpTimeout:
-      case TraceEventKind::kOpComplete:
-      case TraceEventKind::kOpFail:
-        terminal.insert(event.request_id);
-        break;
+    ++op_spans;
+    EXPECT_NE(span.end_ns, 0u) << "op span for request " << span.request_id << " never closed";
+    EXPECT_GE(span.end_ns, span.start_ns);
+    for (const SpanEvent& event : span.events) {
+      retransmit_events += event.stage == SpanStage::kRetransmit ? 1 : 0;
     }
   }
-  EXPECT_FALSE(retried.empty()) << "retransmissions happened but left no OP_RETRY events";
-  for (uint32_t id : retried) {
-    EXPECT_TRUE(started.count(id)) << "OP_RETRY for request " << id << " has no OP_START";
-    EXPECT_TRUE(terminal.count(id)) << "retried request " << id << " never reached a terminal event";
-  }
+  EXPECT_GE(op_spans, 3u);  // open, write, read
+  EXPECT_EQ(retransmit_events, retransmissions);
 }
 
 TEST(UdpEndToEndTest, DeadAgentSurfacesAsUnavailable) {

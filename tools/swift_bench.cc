@@ -77,7 +77,6 @@
 #include "src/core/object_admin.h"
 #include "src/core/object_directory.h"
 #include "src/core/swift_file.h"
-#include "src/util/histogram.h"
 #include "src/util/metrics.h"
 #include "src/util/rng.h"
 #include "src/util/trace.h"
@@ -110,18 +109,19 @@ struct Phase {
   const char* label;
   uint64_t bytes_moved = 0;
   double seconds = 0;
-  LatencyHistogram latency_us;
+  HistogramMetric latency_us;
   // Deltas of swift_buffer_copies_total / swift_buffer_copy_bytes_total over
   // the phase: how many deliberate payload memcpys the bytes above cost.
   uint64_t copies = 0;
   uint64_t copy_bytes = 0;
 
   void Print() const {
+    const HistogramMetric::Snapshot latency = latency_us.Snap();
     std::printf("%-10s %9s in %6.2fs = %8s   lat p50 %7.0fus  p95 %7.0fus  p99 %7.0fus"
                 "   copies %8llu (%s, %.2fx)\n",
                 label, FormatBytes(bytes_moved).c_str(), seconds,
                 FormatRate(static_cast<double>(bytes_moved) / seconds).c_str(),
-                latency_us.P50(), latency_us.P95(), latency_us.P99(),
+                latency.P50(), latency.Quantile(0.95), latency.P99(),
                 static_cast<unsigned long long>(copies), FormatBytes(copy_bytes).c_str(),
                 bytes_moved ? static_cast<double>(copy_bytes) / static_cast<double>(bytes_moved)
                             : 0.0);
@@ -221,7 +221,7 @@ bool RunScaleoutCell(ScaleoutCell& cell, uint64_t size) {
   for (auto& b : buffer) {
     b = static_cast<uint8_t>(rng.UniformInt(0, 255));
   }
-  LatencyHistogram latency_us;
+  HistogramMetric latency_us;
   const uint64_t ops = size / kIo;
 
   const auto w0 = std::chrono::steady_clock::now();
@@ -230,7 +230,7 @@ bool RunScaleoutCell(ScaleoutCell& cell, uint64_t size) {
     if (!(*file)->PWrite(op * kIo, buffer).ok()) {
       return false;
     }
-    latency_us.Add(std::chrono::duration<double, std::micro>(
+    latency_us.Record(std::chrono::duration<double, std::micro>(
                        std::chrono::steady_clock::now() - s0)
                        .count());
   }
@@ -243,7 +243,7 @@ bool RunScaleoutCell(ScaleoutCell& cell, uint64_t size) {
     if (!(*file)->PRead(op * kIo, buffer).ok()) {
       return false;
     }
-    latency_us.Add(std::chrono::duration<double, std::micro>(
+    latency_us.Record(std::chrono::duration<double, std::micro>(
                        std::chrono::steady_clock::now() - s0)
                        .count());
   }
@@ -257,8 +257,9 @@ bool RunScaleoutCell(ScaleoutCell& cell, uint64_t size) {
   const double total_s = write_s + read_s;
   cell.write_mbps = static_cast<double>(size) / write_s / 1e6;
   cell.read_mbps = static_cast<double>(size) / read_s / 1e6;
-  cell.p50_us = latency_us.P50();
-  cell.p99_us = latency_us.P99();
+  const HistogramMetric::Snapshot latency = latency_us.Snap();
+  cell.p50_us = latency.P50();
+  cell.p99_us = latency.P99();
   cell.copies_per_byte =
       static_cast<double>(copy_bytes->Value() - copy_bytes_before) /
       static_cast<double>(2 * size);
@@ -1003,7 +1004,7 @@ bool RunTailCell(TailCell& cell, const std::vector<uint16_t>& ports,
 
   const uint64_t attempts_before = attempts->Value();
   const uint64_t wins_before = wins->Value();
-  LatencyHistogram latency_us;
+  HistogramMetric latency_us;
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < kTailMeasuredReads; ++i) {
     // Unit 0 sits on the straggler column (row 0 parks parity on the last
@@ -1018,7 +1019,7 @@ bool RunTailCell(TailCell& cell, const std::vector<uint16_t>& ports,
       std::fprintf(stderr, "tail %s read %d failed or mismatched\n", cell.name, i);
       return false;
     }
-    latency_us.Add(std::chrono::duration<double, std::micro>(s1 - s0).count());
+    latency_us.Record(std::chrono::duration<double, std::micro>(s1 - s0).count());
   }
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -1026,8 +1027,9 @@ bool RunTailCell(TailCell& cell, const std::vector<uint16_t>& ports,
 
   cell.read_mbps =
       static_cast<double>(kTailMeasuredReads * kTailUnit) / seconds / 1e6;
-  cell.p50_us = latency_us.P50();
-  cell.p99_us = latency_us.P99();
+  const HistogramMetric::Snapshot latency = latency_us.Snap();
+  cell.p50_us = latency.P50();
+  cell.p99_us = latency.P99();
   cell.hedge_rate_pct = 100.0 *
                         static_cast<double>(attempts->Value() - attempts_before) /
                         static_cast<double>(kTailMeasuredReads);
@@ -1301,7 +1303,7 @@ bool RunErasureDegradedPhase(ErasureCell& cell) {
   }
 
   Counter* copy_bytes = MetricRegistry::Global().GetCounter("swift_buffer_copy_bytes_total");
-  LatencyHistogram latency_us;
+  HistogramMetric latency_us;
   std::vector<uint8_t> buffer(unit);
   const uint64_t units_total = object_bytes / unit;
   // One read per offset, timed or not by `timed`; returns copies/byte over
@@ -1321,7 +1323,7 @@ bool RunErasureDegradedPhase(ErasureCell& cell) {
         return false;
       }
       if (timed) {
-        latency_us.Add(std::chrono::duration<double, std::micro>(s1 - s0).count());
+        latency_us.Record(std::chrono::duration<double, std::micro>(s1 - s0).count());
       }
       bytes_read += unit;
     }
@@ -1339,8 +1341,9 @@ bool RunErasureDegradedPhase(ErasureCell& cell) {
   if (!sweep(kReads, /*timed=*/true, &cell.degraded_copies_per_byte)) {
     return false;
   }
-  cell.degraded_p50_us = latency_us.P50();
-  cell.degraded_p99_us = latency_us.P99();
+  const HistogramMetric::Snapshot latency = latency_us.Snap();
+  cell.degraded_p50_us = latency.P50();
+  cell.degraded_p99_us = latency.P99();
   (void)(*file)->Close();
   return true;
 }
@@ -1568,7 +1571,7 @@ int main(int argc, char** argv) {
         exit_code = 1;
         return;
       }
-      phase.latency_us.Add(std::chrono::duration<double, std::micro>(s1 - s0).count());
+      phase.latency_us.Record(std::chrono::duration<double, std::micro>(s1 - s0).count());
       phase.bytes_moved += io;
     }
     phase.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
