@@ -52,6 +52,37 @@ awk -v r="${RATIO}" 'BEGIN { exit !(r <= 2.5) }' \
 echo "bytes_copied_ratio ${RATIO} (<= 2.5)"
 rm -f "${COPY_JSON}"
 
+# CRC kernel gate: every payload byte is CRC'd three times per trip (wire
+# encode, wire decode, at-rest seal/verify), so a silent fall back to the
+# portable kernel costs most of the data path's CPU. Run the dispatched
+# kernel and its forced-portable twin in one process and hold their 8 KiB
+# ratio at >= 4x (PCLMUL folds ~10x faster than slice-by-8). A host whose
+# CPU advertises pclmulqdq must dispatch to it.
+echo "== CRC-32 kernel gate (dispatched >= 4x portable at 8 KiB) =="
+CRC_JSON="$(mktemp)"
+./build/bench/micro_benchmarks --benchmark_filter='^BM_Crc32(Portable)?/8192$' \
+    --benchmark_min_time=0.3 --benchmark_format=json > "${CRC_JSON}"
+CRC_HAS_PCLMUL=0
+grep -qw pclmulqdq /proc/cpuinfo 2>/dev/null && CRC_HAS_PCLMUL=1
+python3 - "${CRC_JSON}" "${CRC_HAS_PCLMUL}" <<'EOF'
+import json, sys
+runs = {b["name"]: b for b in json.load(open(sys.argv[1]))["benchmarks"]}
+fast, portable = runs.get("BM_Crc32/8192"), runs.get("BM_Crc32Portable/8192")
+if fast is None or portable is None:
+    sys.exit("FAIL: CRC-32 benchmarks missing from probe output")
+kernel, portable_kernel = fast.get("label", ""), portable.get("label", "")
+if kernel == portable_kernel:
+    if sys.argv[2] == "1":
+        sys.exit(f"FAIL: CPU has pclmulqdq but CRC-32 dispatches to {kernel}")
+    print(f"crc32 kernel {kernel}: no SIMD kernel on this host, ratio not gated")
+    sys.exit(0)
+ratio = fast["bytes_per_second"] / portable["bytes_per_second"]
+if ratio < 4.0:
+    sys.exit(f"FAIL: crc32 {kernel} only {ratio:.2f}x {portable_kernel} at 8 KiB (< 4x)")
+print(f"crc32 {kernel} {ratio:.2f}x {portable_kernel} at 8 KiB (>= 4)")
+EOF
+rm -f "${CRC_JSON}"
+
 # Bench trajectory gate: re-run the scale-out matrix and diff it against the
 # committed trajectory point. Two failure modes: (a) any throughput key falls
 # more than 15% below the committed value (a real regression; run-to-run

@@ -206,7 +206,8 @@ class UdpTransport::Reactor {
           span_.node = TraceNodeId();
           span_.request_id = request_id_;
           span_.sampled = parent.sampled();
-          span_.start_ns = TraceNowNs();
+          const uint64_t submitted_ns = TakeOpSubmitNs();
+          span_.start_ns = submitted_ns != 0 ? submitted_ns : TraceNowNs();
           trace_flags_ = parent.flags;
         }
       }

@@ -127,10 +127,13 @@ void DistributionAgent::OnOpDone(uint32_t column) {
 void DistributionAgent::Submit(uint32_t column, AsyncOp op) {
   SWIFT_CHECK(column < columns_.size()) << "column " << column << " out of range";
   // The op runs on a pool worker; carry the submitter's trace context across
-  // so the transport op it starts joins the submitting request's trace.
+  // so the transport op it starts joins the submitting request's trace, and
+  // (sampled) the submit instant, so that op's span covers the pool queue.
   if (TraceContext context = CurrentTraceContext(); context.present()) {
-    op = [context, inner = std::move(op)](AgentTransport* transport, Completion done) {
-      ScopedTraceContext scope(context);
+    const uint64_t submitted_ns = context.sampled() ? TraceNowNs() : 0;
+    op = [context, submitted_ns, inner = std::move(op)](AgentTransport* transport,
+                                                        Completion done) {
+      ScopedTraceContext scope(context, submitted_ns);
       inner(transport, std::move(done));
     };
   }
@@ -189,6 +192,10 @@ std::vector<Status> DistributionAgent::RunPerAgent(std::vector<std::function<Sta
 OpBatch::OpBatch(DistributionAgent* agent)
     : agent_(agent), state_(std::make_shared<State>()) {
   state_->column_status.resize(agent->agent_count());
+  state_->traced = CurrentTraceContext().sampled();
+  if (state_->traced) {
+    submit_begin_ns_ = TraceNowNs();
+  }
 }
 
 OpBatch::~OpBatch() {
@@ -200,6 +207,9 @@ void OpBatch::Submit(uint32_t column, DistributionAgent::AsyncOp op) {
   {
     std::lock_guard<std::mutex> lock(state_->mutex);
     ++state_->outstanding;
+    if (state_->traced && submit_begin_ns_ == 0) {
+      submit_begin_ns_ = TraceNowNs();
+    }
     if (!state_->batch_timing_armed) {
       state_->batch_timing_armed = true;
       state_->batch_start = std::chrono::steady_clock::now();
@@ -221,6 +231,9 @@ void OpBatch::Submit(uint32_t column, DistributionAgent::AsyncOp op) {
         }
         --state->outstanding;
         if (state->outstanding == 0) {
+          if (state->traced) {
+            state->drained_ns = TraceNowNs();
+          }
           state->cv.notify_all();
         }
       }
@@ -229,7 +242,16 @@ void OpBatch::Submit(uint32_t column, DistributionAgent::AsyncOp op) {
   });
 }
 
+void OpBatch::NoteSubmitted() {
+  if (submit_begin_ns_ != 0) {
+    const uint64_t now_ns = TraceNowNs();
+    AddRootEvent({SpanStage::kCaller, submit_begin_ns_, now_ns - submit_begin_ns_, 0});
+    submit_begin_ns_ = 0;
+  }
+}
+
 bool OpBatch::WaitFor(std::chrono::microseconds timeout) {
+  NoteSubmitted();
   std::unique_lock<std::mutex> lock(state_->mutex);
   return state_->cv.wait_for(lock, timeout, [this] { return state_->outstanding == 0; });
 }
@@ -240,8 +262,16 @@ uint64_t OpBatch::Outstanding() {
 }
 
 std::vector<Status> OpBatch::Wait() {
+  NoteSubmitted();
   std::unique_lock<std::mutex> lock(state_->mutex);
   state_->cv.wait(lock, [this] { return state_->outstanding == 0; });
+  if (state_->drained_ns != 0) {
+    const uint64_t now_ns = TraceNowNs();
+    if (now_ns > state_->drained_ns) {
+      AddRootEvent({SpanStage::kCaller, state_->drained_ns, now_ns - state_->drained_ns, 0});
+    }
+    state_->drained_ns = 0;
+  }
   if (state_->batch_timing_armed) {
     state_->batch_timing_armed = false;
     Metrics().batch_us->Record(

@@ -158,10 +158,20 @@ class OpBatch {
     // a wait round, consumed (and re-armed) by Wait.
     std::chrono::steady_clock::time_point batch_start{};
     bool batch_timing_armed = false;
+    // Sampled batches only: when the last outstanding op completed, so the
+    // waiter's resume latency lands in the root span's kCaller stage.
+    bool traced = false;
+    uint64_t drained_ns = 0;
   };
+
+  // Closes the kCaller submission interval a Wait/WaitFor ends.
+  void NoteSubmitted();
 
   DistributionAgent* agent_;
   std::shared_ptr<State> state_;
+  // Sampled batches: start of the caller's current submission round (0 once
+  // a wait closed it).
+  uint64_t submit_begin_ns_ = 0;
 };
 
 }  // namespace swift

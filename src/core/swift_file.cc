@@ -163,6 +163,7 @@ class RootSpanScope {
     t_parity_ns = 0;
     t_parity_first_ns = 0;
     scope_.emplace(context);
+    SetThreadRootSpan(&span_);
     last_trace_id.store(context.trace_id, std::memory_order_relaxed);
   }
   ~RootSpanScope() {
@@ -170,6 +171,7 @@ class RootSpanScope {
       return;
     }
     scope_.reset();  // restore the ambient context before submitting
+    SetThreadRootSpan(nullptr);
     span_.end_ns = TraceNowNs();
     if (t_parity_ns != 0) {
       span_.events.push_back({SpanStage::kParity, t_parity_first_ns, t_parity_ns, 0});

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <random>
+#include <utility>
 
 #include "src/util/metrics.h"
 #include "src/util/wire_buffer.h"
@@ -22,6 +23,8 @@ uint64_t TraceEpochNs() {
 
 std::atomic<uint32_t> g_trace_node{0};
 thread_local TraceContext t_trace_context;
+thread_local uint64_t t_op_submitted_ns = 0;
+thread_local Span* t_root_span = nullptr;
 std::atomic<uint8_t> g_trace_mode{static_cast<uint8_t>(TraceMode::kSampled)};
 
 // SplitMix64: turns a counter into well-mixed ids without a lock.
@@ -65,6 +68,27 @@ uint32_t TraceNodeId() { return g_trace_node.load(std::memory_order_relaxed); }
 TraceContext CurrentTraceContext() { return t_trace_context; }
 
 void SetCurrentTraceContext(const TraceContext& context) { t_trace_context = context; }
+
+ScopedTraceContext::ScopedTraceContext(const TraceContext& context, uint64_t submitted_ns)
+    : saved_(t_trace_context), saved_submitted_ns_(t_op_submitted_ns) {
+  t_trace_context = context;
+  t_op_submitted_ns = submitted_ns;
+}
+
+ScopedTraceContext::~ScopedTraceContext() {
+  t_trace_context = saved_;
+  t_op_submitted_ns = saved_submitted_ns_;
+}
+
+uint64_t TakeOpSubmitNs() { return std::exchange(t_op_submitted_ns, 0); }
+
+void SetThreadRootSpan(Span* span) { t_root_span = span; }
+
+void AddRootEvent(const SpanEvent& event) {
+  if (t_root_span != nullptr) {
+    t_root_span->events.push_back(event);
+  }
+}
 
 // --- sampling policy ------------------------------------------------------
 
@@ -135,6 +159,8 @@ const char* SpanStageName(SpanStage stage) {
       return "retransmit";
     case SpanStage::kCcGate:
       return "cc_gate";
+    case SpanStage::kCaller:
+      return "caller";
   }
   return "unknown";
 }
@@ -147,14 +173,14 @@ HistogramMetric* StageHistogram(SpanStage stage) {
   static std::once_flag once;
   std::call_once(once, [] {
     auto& registry = MetricRegistry::Global();
-    for (uint8_t s = 1; s <= static_cast<uint8_t>(SpanStage::kCcGate); ++s) {
+    for (uint8_t s = 1; s <= static_cast<uint8_t>(SpanStage::kCaller); ++s) {
       const std::string name =
           std::string("swift_trace_stage_") + SpanStageName(static_cast<SpanStage>(s)) + "_us";
       histograms[s] = registry.GetHistogram(name);
     }
   });
   const uint8_t index = static_cast<uint8_t>(stage);
-  return index <= static_cast<uint8_t>(SpanStage::kCcGate) ? histograms[index] : nullptr;
+  return index <= static_cast<uint8_t>(SpanStage::kCaller) ? histograms[index] : nullptr;
 }
 
 }  // namespace

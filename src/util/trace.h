@@ -59,20 +59,26 @@ TraceContext CurrentTraceContext();
 void SetCurrentTraceContext(const TraceContext& context);
 
 // RAII: installs `context` for the current scope, restoring the previous
-// ambient context on exit.
+// ambient context on exit. A nonzero `submitted_ns` marks a hand-off: the op
+// now running was queued at that instant for another thread (the
+// DistributionAgent's worker pool), and the first transport span it opens
+// starts there (TakeOpSubmitNs), so its client_queue stage covers the
+// hand-off as well as the transport's own queue.
 class ScopedTraceContext {
  public:
-  explicit ScopedTraceContext(const TraceContext& context)
-      : saved_(CurrentTraceContext()) {
-    SetCurrentTraceContext(context);
-  }
-  ~ScopedTraceContext() { SetCurrentTraceContext(saved_); }
+  explicit ScopedTraceContext(const TraceContext& context, uint64_t submitted_ns = 0);
+  ~ScopedTraceContext();
   ScopedTraceContext(const ScopedTraceContext&) = delete;
   ScopedTraceContext& operator=(const ScopedTraceContext&) = delete;
 
  private:
   TraceContext saved_;
+  uint64_t saved_submitted_ns_;
 };
+
+// The hand-off instant installed by the innermost ScopedTraceContext, or 0.
+// Returns it once: later spans in the same scope start when they open.
+uint64_t TakeOpSubmitNs();
 
 // --- sampling policy ------------------------------------------------------
 
@@ -105,7 +111,7 @@ TraceContext NewRootContext();
 // The per-hop stage taxonomy (DESIGN.md §14). Stage durations are what the
 // timeline attributes client-observed latency to.
 enum class SpanStage : uint8_t {
-  kClientQueue = 1,  // submit → reactor pickup (client op queue)
+  kClientQueue = 1,  // submit → reactor pickup (worker-pool hand-off + client op queue)
   kSendFlush = 2,    // reactor pickup → send batch flushed to the kernel
   kWire = 3,         // flush → completion (network + remote, from the client)
   kRecvBatch = 4,    // datagram kernel receive → server processing start
@@ -116,6 +122,8 @@ enum class SpanStage : uint8_t {
   kRetransmit = 9,   // one retransmitted datagram (arg = timeout round)
   kCcGate = 10,      // congestion gate: send pacing / window admission delay
                      // (arg = paced bytes)
+  kCaller = 11,      // file-op thread around a batch: submitting it, and
+                     // resuming once it drained (root spans only)
 };
 
 const char* SpanStageName(SpanStage stage);
@@ -144,6 +152,12 @@ struct Span {
 
   uint64_t duration_ns() const { return end_ns >= start_ns ? end_ns - start_ns : 0; }
 };
+
+// The root span open on the calling thread, for stages that run on that
+// thread rather than inside a child op (OpBatch's kCaller). The root's owner
+// sets it for its lifetime; AddRootEvent is a no-op on a thread without one.
+void SetThreadRootSpan(Span* span);
+void AddRootEvent(const SpanEvent& event);
 
 // Process-wide span retention: sharded bounded rings (the rings ARE the
 // tail-sampling buffer — every traced request is recorded; "sampling" marks

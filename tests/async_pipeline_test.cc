@@ -1,8 +1,8 @@
 // Tests of the asynchronous transport core: the RetryPolicy schedule shared
 // by every UDP op state machine, the completion-based StartRead/StartWrite
-// API on both transports, OpBatch status aggregation, and a pipelined
-// stress run over real sockets with injected loss plus an agent crash —
-// reads must stay byte-identical through parity reconstruction.
+// API on both transports, OpBatch status aggregation and trace attribution,
+// and a pipelined stress run over real sockets with injected loss plus an
+// agent crash — reads must stay byte-identical through parity reconstruction.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include "src/core/swift_file.h"
 #include "src/util/metrics.h"
 #include "src/util/rng.h"
+#include "src/util/trace.h"
 #include "src/util/units.h"
 
 namespace swift {
@@ -322,6 +323,55 @@ TEST(OpBatchTest, ColumnOpsStartInSubmissionOrder) {
   ASSERT_EQ(order.size(), 16u);
   for (int i = 0; i < 16; ++i) {
     EXPECT_EQ(order[i], i);
+  }
+}
+
+// A sampled batch charges its caller's submission round to the thread's root
+// span (kCaller), and the op it hands to a pool worker sees the submit
+// instant, so its transport span can start there — once.
+TEST(OpBatchTest, SampledBatchChargesCallerTimeToTheRootSpan) {
+  InMemoryBackingStore store;
+  StorageAgentCore core(&store);
+  InProcTransport transport(&core);
+  DistributionAgent agent({&transport});
+
+  for (const bool sampled : {true, false}) {
+    Span root;
+    SetThreadRootSpan(&root);
+    ScopedTraceContext scope(
+        TraceContext{.trace_id = 7, .parent_span_id = 1, .flags = sampled ? kTraceFlagSampled : 0});
+    uint64_t handed_ns = 0;
+    uint64_t taken_again_ns = 1;
+    uint64_t ran_ns = 0;
+    const uint64_t before_ns = TraceNowNs();
+    OpBatch batch(&agent);
+    batch.Submit(0, [&](AgentTransport*, DistributionAgent::Completion done) {
+      handed_ns = TakeOpSubmitNs();
+      taken_again_ns = TakeOpSubmitNs();
+      ran_ns = TraceNowNs();
+      done(OkStatus());
+    });
+    batch.Wait();
+    const uint64_t after_ns = TraceNowNs();
+    SetThreadRootSpan(nullptr);
+
+    EXPECT_EQ(taken_again_ns, 0u);
+    if (!sampled) {
+      EXPECT_EQ(handed_ns, 0u);
+      EXPECT_TRUE(root.events.empty());
+      continue;
+    }
+    EXPECT_GE(handed_ns, before_ns);
+    EXPECT_LE(handed_ns, ran_ns);
+    ASSERT_FALSE(root.events.empty());
+    const SpanEvent& submit = root.events.front();
+    EXPECT_EQ(submit.stage, SpanStage::kCaller);
+    EXPECT_GE(submit.at_ns, before_ns);
+    EXPECT_LE(submit.at_ns, handed_ns);
+    EXPECT_LE(submit.at_ns + submit.dur_ns, after_ns);
+    for (const SpanEvent& event : root.events) {
+      EXPECT_EQ(event.stage, SpanStage::kCaller);
+    }
   }
 }
 

@@ -1,9 +1,12 @@
 // Unit tests for src/util: status/result plumbing, statistics (the paper's
-// 8-sample 90% confidence methodology), units, CRC32, and wire buffers.
+// 8-sample 90% confidence methodology), units, CRC32 (every kernel against a
+// bit-at-a-time reference), and wire buffers.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "src/util/crc32.h"
@@ -291,6 +294,111 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
   uint32_t before = Crc32(data);
   data[17] ^= 0x10;
   EXPECT_NE(Crc32(data), before);
+}
+
+// One bit at a time, straight from the definition: the reference every
+// kernel must agree with.
+uint32_t ReferenceCrc32Update(uint32_t state, std::span<const uint8_t> data) {
+  for (uint8_t b : data) {
+    state ^= b;
+    for (int bit = 0; bit < 8; ++bit) {
+      state = (state & 1u) != 0 ? (state >> 1) ^ 0xEDB88320u : state >> 1;
+    }
+  }
+  return state;
+}
+
+std::vector<uint8_t> GoldenPattern(size_t n) {
+  std::vector<uint8_t> b(n);
+  for (size_t i = 0; i < n; ++i) {
+    b[i] = static_cast<uint8_t>((i * 131 + 7) & 0xFF);
+  }
+  return b;
+}
+
+// Runs `body` with the dispatched kernel and again with the portable one.
+template <typename Body>
+void ForEachKernel(Body body) {
+  for (bool simd : {true, false}) {
+    const bool had_simd = SetCrc32SimdEnabled(simd);
+    SCOPED_TRACE(Crc32KernelName());
+    body();
+    SetCrc32SimdEnabled(had_simd);
+  }
+}
+
+TEST(Crc32Test, LongBufferGoldenValues) {
+  // zlib.crc32 of the pattern's first n bytes: lengths that reach the
+  // 64-byte folding kernel, unlike the 9-byte check value.
+  const std::vector<uint8_t> b = GoldenPattern(65536);
+  const std::span<const uint8_t> all(b);
+  ForEachKernel([&] {
+    EXPECT_EQ(Crc32(all.first(64)), 0x38e4dbb5u);
+    EXPECT_EQ(Crc32(all.first(4096)), 0xa3f5519cu);
+    EXPECT_EQ(Crc32(all.first(8192)), 0x9f619db2u);
+    EXPECT_EQ(Crc32(all), 0x3a3102b4u);
+  });
+}
+
+TEST(Crc32Test, KernelsMatchReferenceAtEveryLengthAndAlignment) {
+  constexpr size_t kMaxLen = 4200;
+  constexpr size_t kOffsets = 16;
+  std::vector<uint8_t> buf(kMaxLen + kOffsets);
+  Rng rng(11);
+  for (auto& b : buf) {
+    b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  }
+  // Reference CRCs from an arbitrary starting state for every prefix length
+  // at every start offset, built one byte further per length.
+  std::vector<uint32_t> starts(kOffsets);
+  std::vector<std::vector<uint32_t>> expected(kOffsets, std::vector<uint32_t>(kMaxLen + 1));
+  for (size_t off = 0; off < kOffsets; ++off) {
+    starts[off] = static_cast<uint32_t>(rng.UniformInt(0, 0xFFFFFFFF));
+    uint32_t state = starts[off];
+    expected[off][0] = state;
+    for (size_t len = 1; len <= kMaxLen; ++len) {
+      state = ReferenceCrc32Update(state, std::span<const uint8_t>(&buf[off + len - 1], 1));
+      expected[off][len] = state;
+    }
+  }
+  ForEachKernel([&] {
+    for (size_t off = 0; off < kOffsets; ++off) {
+      for (size_t len = 0; len <= kMaxLen; ++len) {
+        const uint32_t got =
+            Crc32Update(starts[off], std::span<const uint8_t>(buf).subspan(off, len));
+        if (got != expected[off][len]) {
+          ADD_FAILURE() << "offset " << off << " length " << len << ": got " << std::hex << got
+                        << " want " << expected[off][len];
+          return;
+        }
+      }
+    }
+  });
+}
+
+TEST(Crc32Test, RandomIncrementalSplitsMatchReference) {
+  std::vector<uint8_t> buf(64 * 1024);
+  Rng rng(12);
+  for (auto& b : buf) {
+    b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  }
+  const uint32_t want = ReferenceCrc32Update(Crc32Init(), buf) ^ 0xFFFFFFFFu;
+  ForEachKernel([&] {
+    EXPECT_EQ(Crc32(buf), want);
+    for (int trial = 0; trial < 50; ++trial) {
+      uint32_t state = Crc32Init();
+      size_t pos = 0;
+      while (pos < buf.size()) {
+        // Mostly short pieces, sometimes long ones, so both kernels and the
+        // hand-off between them are cut at arbitrary points.
+        const int64_t cap = rng.UniformInt(0, 3) == 0 ? 9000 : 130;
+        const size_t len = std::min(buf.size() - pos, static_cast<size_t>(rng.UniformInt(0, cap)));
+        state = Crc32Update(state, std::span<const uint8_t>(buf).subspan(pos, len));
+        pos += len;
+      }
+      ASSERT_EQ(Crc32Final(state), want) << "trial " << trial;
+    }
+  });
 }
 
 // ----------------------------------------------------------- Wire buffer ---
